@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-snapshot all
+.PHONY: build test race stress lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-snapshot bench-selftest all
 
 all: build lint test
 
@@ -92,6 +92,13 @@ shard-smoke:
 # real measurement runs use cmd/vnlbench.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
+
+# bench-selftest vets and race-tests the repo benchmark (vnlperf/). It is
+# its own Go module, so `go test ./...` at the root never builds it, yet it
+# links the serving stack's internals; this keeps it compiling and its
+# answer checks passing.
+bench-selftest:
+	cd vnlperf && $(GO) vet ./... && $(GO) test -race -count=1 ./...
 
 # bench-snapshot runs the tracked benchmark set (reader scaling, maintain
 # batch, vnlserver wire latency, single-thread query latency) and writes

@@ -64,8 +64,9 @@ func openStore(n int, walPath string) (*core.Store, error) {
 		fmt.Printf("recovered %d tables, %d committed transactions (VN %d) from %s\n",
 			stats.TablesCreated, stats.CommittedTxns, stats.HighestVN, walPath)
 		store = recovered
-		// Append to the existing log.
-		// (A production system would checkpoint; here we keep appending.)
+		// Append to the existing log: Recover cut any torn tail, so new
+		// records directly follow the recovered history. (A production
+		// system would checkpoint; here we keep appending.)
 		log, err := wal.Append(walPath, wal.PolicyRedoOnly)
 		if err != nil {
 			return nil, err

@@ -103,6 +103,8 @@ func main() {
 	sess.Close()
 
 	// --- life after recovery ---------------------------------------------
+	// Recover cut any torn tail, so appended records directly follow the
+	// recovered history.
 	appendLog, err := wal.Append(logPath, wal.PolicyRedoOnly)
 	if err != nil {
 		log.Fatal(err)

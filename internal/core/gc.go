@@ -35,18 +35,14 @@ type GCStats struct {
 // additionally reclaims tuples whose deletion is exactly at the session
 // floor, which Table 1 shows are already invisible to those sessions.)
 //
-// GC is safe to run concurrently with readers and with an active
-// maintenance transaction: it only touches committed deletes (tupleVN <=
-// currentVN < maintenanceVN), which the maintenance transaction would treat
-// as conflict targets — so to keep Table 2's key-conflict bookkeeping
-// coherent, GC skips tables while a maintenance transaction is active
-// unless force is requested via GCWithFloor.
+// GC is safe to run concurrently with readers. It never overlaps a
+// maintenance transaction: a pass skips (returns zero stats) while one is
+// active, and a transaction that begins during a pass waits for the pass to
+// finish, so the pass's VN-0 pseudo-transaction never interleaves with a
+// batch's records in the journal and Table 2's key-conflict bookkeeping
+// never sees a conflict target vanish mid-transaction.
 func (s *Store) GC() GCStats {
-	cur, active, _ := s.readGlobals()
-	if active {
-		return GCStats{}
-	}
-	floor := cur
+	floor := s.CurrentVN()
 	if minVN, any := s.activeSessionFloor(); any && minVN < floor {
 		floor = minVN
 	}
@@ -82,8 +78,19 @@ func (s *Store) SetGCFloorClamp(fn func() (VN, bool)) {
 // committed pseudo-transaction (VN 0): without that, a later fresh insert
 // of a reclaimed key would collide with the still-logically-deleted tuple
 // during recovery replay.
+//
+// Like GC, it skips while a maintenance transaction is active and holds off
+// any that would begin until the pass is done.
 func (s *Store) GCWithFloor(floor VN) GCStats {
 	var stats GCStats
+	s.pseudoMu.Lock()
+	defer s.pseudoMu.Unlock()
+	if s.MaintenanceActive() {
+		return stats
+	}
+	if s.gcPassHook != nil {
+		s.gcPassHook()
+	}
 	j := s.journalOrNil()
 	journalOpen := false
 	for _, vt := range s.Tables() {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -14,28 +16,33 @@ import (
 // sections, and GC now surfaces a failed commit force instead of blanking
 // it — neither change may reorder the write-ahead record sequence.
 type recordingJournal struct {
+	mu        sync.Mutex
 	calls     []string
 	commitErr error
 }
 
-func (r *recordingJournal) LogCreate(base *catalog.Schema) {
-	r.calls = append(r.calls, "create:"+base.Name)
+func (r *recordingJournal) record(call string) {
+	r.mu.Lock()
+	r.calls = append(r.calls, call)
+	r.mu.Unlock()
 }
-func (r *recordingJournal) LogBegin(vn VN) { r.calls = append(r.calls, "begin") }
+
+func (r *recordingJournal) LogCreate(base *catalog.Schema) { r.record("create:" + base.Name) }
+func (r *recordingJournal) LogBegin(vn VN)                 { r.record("begin") }
 func (r *recordingJournal) LogInsert(table string, rid storage.RID, after catalog.Tuple) {
-	r.calls = append(r.calls, "insert:"+table)
+	r.record("insert:" + table)
 }
 func (r *recordingJournal) LogUpdate(table string, rid storage.RID, before, after catalog.Tuple) {
-	r.calls = append(r.calls, "update:"+table)
+	r.record("update:" + table)
 }
 func (r *recordingJournal) LogDelete(table string, rid storage.RID, before catalog.Tuple) {
-	r.calls = append(r.calls, "delete:"+table)
+	r.record("delete:" + table)
 }
 func (r *recordingJournal) LogCommit(vn VN) error {
-	r.calls = append(r.calls, "commit")
+	r.record("commit")
 	return r.commitErr
 }
-func (r *recordingJournal) LogAbort(vn VN) { r.calls = append(r.calls, "abort") }
+func (r *recordingJournal) LogAbort(vn VN) { r.record("abort") }
 
 // TestJournalRecordOrder checks the write-ahead record sequence now that
 // LogCreate and LogBegin are emitted outside the latch: the create record
@@ -99,5 +106,88 @@ func TestGCReportsJournalCommitError(t *testing.T) {
 	// A clean pass reports no error.
 	if stats := s.GC(); stats.Err != nil {
 		t.Fatalf("clean GC pass reported error %v", stats.Err)
+	}
+}
+
+// TestBatchBeginningDuringGCWaits pins the journal's transaction nesting
+// when a batch begins while a GC pass is between its maintenanceActive
+// check and its first record. The pass's VN-0 pseudo-transaction must not
+// land inside the batch's records — recovery could then replay neither
+// whole — so the batch waits for the pass instead of starting or failing.
+func TestBatchBeginningDuringGCWaits(t *testing.T) {
+	s := newStore(t, 2)
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	m := mustMaint(t, s)
+	if err := m.Insert("kv", kvTuple(100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, m)
+	m = mustMaint(t, s)
+	if _, err := m.DeleteKey("kv", catalog.Tuple{catalog.NewInt(100)}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, m) // a committed delete: the pass has a victim to journal
+	j := &recordingJournal{}
+	s.SetJournal(j)
+
+	paused, release, gcDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	s.gcPassHook = func() {
+		close(paused)
+		<-release
+	}
+	var gc GCStats
+	go func() {
+		defer close(gcDone)
+		gc = s.GC()
+	}()
+	<-paused
+
+	// The batch journals half its rows, then (if it got that far while
+	// the pass was paused) holds until the pass is done, so an interleave
+	// is certain wherever begin does not wait.
+	halfway, batchErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		batchErr <- func() error {
+			m, err := s.BeginMaintenance()
+			if err != nil {
+				return err
+			}
+			for k := int64(0); k < 10; k++ {
+				if k == 5 {
+					close(halfway)
+					<-gcDone
+				}
+				if err := m.Insert("kv", kvTuple(k, k)); err != nil {
+					return err
+				}
+			}
+			return m.Commit()
+		}()
+	}()
+	select {
+	case <-halfway:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-gcDone
+	if err := <-batchErr; err != nil {
+		t.Fatalf("batch begun during a GC pass: %v", err)
+	}
+	if gc.Removed != 1 {
+		t.Fatalf("GC pass removed %d tuples, want 1", gc.Removed)
+	}
+	open := false
+	for i, c := range j.calls {
+		switch c {
+		case "begin":
+			if open {
+				t.Fatalf("journal call %d begins inside an open transaction: %v", i, j.calls)
+			}
+			open = true
+		case "commit", "abort":
+			open = false
+		}
 	}
 }

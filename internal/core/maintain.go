@@ -103,6 +103,10 @@ func (s *Store) BeginMaintenanceMode(mode RollbackMode, netEffect bool) (*Mainte
 }
 
 func (s *Store) beginMaintenance(mode RollbackMode, netEffect bool) (*Maintenance, error) {
+	// Wait out a GC pass or table adoption in progress: its VN-0
+	// pseudo-transaction must not interleave with this one in the journal.
+	s.pseudoMu.Lock()
+	defer s.pseudoMu.Unlock()
 	acquired := s.latchAcquire()
 	cur, active := s.globalsLocked()
 	if active {

@@ -37,8 +37,8 @@ func assertWatermark(t *testing.T, s *Store, vt *VTable) {
 }
 
 // TestOldestHWMatchesScan drives every path that can move a table's
-// watermark — inserts, updates, deletes, both rollback modes, recovery's
-// SetCurrentVN, and GC — asserting the maintained mark never diverges from
+// watermark — inserts, updates, deletes, both rollback modes, GC, and log
+// replay — asserting the maintained mark never diverges from
 // the scan oracle.
 func TestOldestHWMatchesScan(t *testing.T) {
 	s := newStore(t, 2)
@@ -112,12 +112,49 @@ func TestOldestHWMatchesScan(t *testing.T) {
 	s.GC()
 	step("gc")
 
-	// Recovery installs a version without running the maintenance write
-	// path; SetCurrentVN rebuilds the marks by scan.
-	if err := s.SetCurrentVN(s.CurrentVN() + 3); err != nil {
+	// Log replay (recovery and replicas) writes logged images through
+	// ReplayInsert/ReplayUpdate/ReplayDelete inside Replay. A replayed pop
+	// lowers the carrier's oldest slot and must recompute; the insert and
+	// delete keep the mark exact by the maintenance path's rules.
+	e := vt.ext
+	oldest := e.L.N - 1
+	vn := s.CurrentVN() + 1
+	if err := s.Replay(vn, func() error {
+		var top storage.RID
+		var topVN VN
+		vt.tbl.Scan(func(rid storage.RID, tu catalog.Tuple) bool {
+			if v := e.TupleVN(tu, oldest); v > topVN {
+				top, topVN = rid, v
+			}
+			return true
+		})
+		tu, err := vt.tbl.Get(top)
+		if err != nil {
+			return err
+		}
+		popped := tu.Clone()
+		e.SetSlot(popped, oldest, 1, OpUpdate)
+		if err := vt.ReplayUpdate(top, popped); err != nil {
+			return err
+		}
+		step("replayed pop")
+		rid, err := vt.ReplayInsert(e.NewExtTuple(kvTuple(50, 5), vn))
+		if err != nil {
+			return err
+		}
+		step("replayed insert")
+		if err := vt.ReplayDelete(rid); err != nil {
+			return err
+		}
+		step("replayed delete")
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	step("recovery SetCurrentVN")
+	if got := s.CurrentVN(); got != vn {
+		t.Fatalf("Replay published VN %d, want %d", got, vn)
+	}
+	step("replayed transaction")
 }
 
 // TestSessionGetSurfacesHeapError is the regression test for the swallowed

@@ -115,6 +115,17 @@ type Store struct {
 
 	versionTbl *db.Table // non-nil in relation-backed mode
 
+	// pseudoMu keeps the journal's VN-0 pseudo-transactions (GC passes,
+	// table adoption) from interleaving with a maintenance transaction's
+	// records: each holds it from its maintenanceActive check through its
+	// journal commit, and BeginMaintenance takes it around raising the
+	// flag, so a batch that starts during a pass waits for the pass.
+	// Readers never take it.
+	pseudoMu sync.Mutex
+	// gcPassHook, when non-nil, runs inside a GC pass right after its
+	// maintenanceActive check (test seam for a batch beginning mid-pass).
+	gcPassHook func()
+
 	// adoptLoadHook, when non-nil, runs before each tuple is loaded into
 	// the extended table during AdoptTable (test seam for mid-load
 	// failure injection).
@@ -141,7 +152,7 @@ type VTable struct {
 	// per-tuple expiration probe (§3.2's optimistic alternative) reads it
 	// instead of scanning; maintenance writes raise it, and the rare
 	// paths that can lower a tuple's slots (rollback, physical deletes,
-	// recovery) recompute it by scan.
+	// Table 4 pops) recompute it by scan.
 	oldestHW atomic.Int64
 }
 
@@ -380,7 +391,14 @@ func (s *Store) AdoptTable(name string) (*VTable, error) {
 	}
 	// The load succeeded: journal the adoption (create record plus a
 	// committed pseudo-transaction carrying the initial tuples), then make
-	// the swap visible.
+	// the swap visible. The pseudo-transaction must not land inside a
+	// maintenance transaction's records.
+	s.pseudoMu.Lock()
+	defer s.pseudoMu.Unlock()
+	if s.MaintenanceActive() {
+		_ = s.d.DropTable(tmpSchema.Name)
+		return nil, fmt.Errorf("core: adopting %s: %w", name, ErrMaintenanceActive)
+	}
 	if j := s.journalOrNil(); j != nil {
 		j.LogCreate(base)
 		j.LogBegin(0)
@@ -476,7 +494,7 @@ func (v *VTable) noteTupleRemoved(ext catalog.Tuple) {
 }
 
 // recomputeOldestHW rescans the table for the true maximum oldest-slot
-// tupleVN. It runs only on single-writer paths (rollback, GC, recovery),
+// tupleVN. It runs only on single-writer paths (rollback, GC, log replay),
 // where no concurrent maintenance write can race the scan.
 func (v *VTable) recomputeOldestHW() {
 	e := v.ext

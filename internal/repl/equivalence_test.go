@@ -16,7 +16,7 @@ import (
 // buildHistory journals a seeded multi-transaction history onto fs and
 // returns its durable end. The mix covers inserts, updates, deletes,
 // resurrections and aborted transactions, so the stream carries every
-// record kind the applier must route.
+// record kind the replayer must route.
 func buildHistory(t *testing.T, fs vfs.FS, seed int64) int64 {
 	t.Helper()
 	log, err := wal.CreateFS(fs, "wal.log", wal.PolicyRedoOnly)
@@ -99,11 +99,11 @@ func rebuildLiveSet(t *testing.T, store *core.Store) map[int64]bool {
 	return live
 }
 
-// TestApplierRecoverEquivalence pins the applier against the recovery
-// machinery it extends: for seeded histories shipped in random segment
-// sizes, a replica caught up through Feed/StreamDecoder/applier must hold
-// exactly the store RecoverFS rebuilds from the same bytes — same VN, same
-// tables, same tuples.
+// TestApplierRecoverEquivalence pins the one replay loop against its two
+// callers: for seeded histories shipped in random segment sizes, a replica
+// caught up through Feed/StreamDecoder/wal.Replayer must hold exactly the
+// store RecoverFS rebuilds by running the same Replayer over the file —
+// same VN, same tables, same tuples.
 func TestApplierRecoverEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		seed := seed

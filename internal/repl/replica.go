@@ -83,12 +83,13 @@ func (o Options) normalize() Options {
 // server.Config turns that server into a read-only replica endpoint.
 //
 // The ingest invariant, in order, per segment: append the bytes to the
-// local copy, apply complete records, and only if a transaction committed
-// fsync the copy before publishing the new VN. Every VN the replica ever
-// serves is therefore backed by locally durable bytes, and a crash at any
-// point re-opens to some prefix of the primary's history — at-most-once
-// and at-least-once apply both hold because the store itself is rebuilt
-// from exactly the durable prefix on every open.
+// local copy, fsync it, then replay the complete records — the same
+// wal.Replayer crash recovery runs, which publishes each committed
+// transaction's VN as it applies it. Every VN the replica ever serves is
+// therefore backed by locally durable bytes, and a crash at any point
+// re-opens to some prefix of the primary's history — at-most-once and
+// at-least-once apply both hold because the store itself is rebuilt from
+// exactly the durable prefix on every open.
 type Replica struct {
 	opts  Options
 	store *core.Store
@@ -96,7 +97,7 @@ type Replica struct {
 
 	mu    sync.Mutex // serializes Ingest and the fatal-error latch
 	dec   wal.StreamDecoder
-	ap    *applier
+	rp    *wal.Replayer
 	fatal error
 
 	epoch      atomic.Uint64
@@ -144,32 +145,30 @@ func newReplMetrics(reg *obs.Registry) replMetrics {
 }
 
 // Open recovers the replica's store from the local WAL copy and prepares
-// incremental replay from its clean end. The torn tail past the clean end
-// (a crash artifact) is truncated away so appended stream bytes land
-// exactly at the resume LSN.
+// incremental replay from its clean end. Recovery cuts the torn tail past
+// the clean end (a crash artifact), so appended stream bytes land exactly
+// at the resume LSN, and hands over its Replayer, so a transaction open at
+// the clean end completes when the stream delivers its commit.
 func Open(opts Options) (*Replica, error) {
 	opts = opts.normalize()
 	if opts.Path == "" {
 		return nil, errors.New("repl: Options.Path is required")
 	}
-	store, _, _, resume, err := wal.RecoverStreamFS(opts.FS, opts.Path, opts.DB, opts.Store)
+	store, _, rp, err := wal.RecoverStreamFS(opts.FS, opts.Path, opts.DB, opts.Store)
 	if err != nil {
 		return nil, fmt.Errorf("repl: recovering local WAL copy: %w", err)
 	}
+	clean := rp.Stats().CleanLSN
 	epoch, err := readEpoch(opts.FS, opts.Path+epochSuffix)
 	if err != nil {
 		return nil, err
 	}
-	if epoch == 0 && resume.CleanLSN > 0 {
-		return nil, fmt.Errorf("%w: local WAL copy has %d bytes but no epoch pin", ErrDiverged, resume.CleanLSN)
+	if epoch == 0 && clean > 0 {
+		return nil, fmt.Errorf("%w: local WAL copy has %d bytes but no epoch pin", ErrDiverged, clean)
 	}
 	f, err := opts.FS.OpenAppend(opts.Path)
 	if err != nil {
 		return nil, fmt.Errorf("repl: opening local WAL copy: %w", err)
-	}
-	if err := f.Truncate(resume.CleanLSN); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("repl: truncating torn tail: %w", err)
 	}
 	reg := opts.Store.Metrics
 	if reg == nil {
@@ -179,17 +178,17 @@ func Open(opts Options) (*Replica, error) {
 		opts:  opts,
 		store: store,
 		f:     f,
-		ap:    newApplier(store, resume),
+		rp:    rp,
 		stop:  make(chan struct{}),
 		met:   newReplMetrics(reg),
 	}
-	r.dec.SetLSN(resume.CleanLSN)
+	r.dec.SetLSN(clean)
 	r.epoch.Store(epoch)
-	r.nextLSN.Store(resume.CleanLSN)
-	r.durableLSN.Store(resume.CleanLSN)
+	r.nextLSN.Store(clean)
+	r.durableLSN.Store(clean)
 	r.replayedVN.Store(uint64(store.CurrentVN()))
 	r.primaryVN.Store(uint64(store.CurrentVN()))
-	r.met.durable.Set(resume.CleanLSN)
+	r.met.durable.Set(clean)
 	r.met.replayedVN.Set(int64(store.CurrentVN()))
 	return r, nil
 }
@@ -248,11 +247,11 @@ func (r *Replica) failLocked(err error) error {
 }
 
 // Ingest applies one polled segment: pin/verify the epoch, append the
-// payload to the local copy, replay complete records, and — only when a
-// transaction committed — fsync the copy before publishing the new VN.
-// Heartbeats (empty payloads) just refresh the freshness clock. Any error
-// is sticky: a failed replica must be rebuilt or re-opened, because a
-// partially applied segment cannot be retried in memory.
+// payload to the local copy and fsync it, then replay complete records,
+// publishing each committed transaction's VN as it applies. Heartbeats
+// (empty payloads) just refresh the freshness clock. Any error is sticky:
+// a failed replica must be rebuilt or re-opened, because a partially
+// applied segment cannot be retried in memory.
 func (r *Replica) Ingest(seg server.ReplSegment) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -287,29 +286,24 @@ func (r *Replica) Ingest(seg server.ReplSegment) error {
 	next += int64(len(seg.Payload))
 	r.nextLSN.Store(next)
 	r.met.bytes.Add(int64(len(seg.Payload)))
-	r.dec.Feed(seg.Payload)
-	commits, maxVN, err := r.ap.drain(&r.dec)
-	if err != nil {
-		return r.failLocked(fmt.Errorf("repl: replaying stream: %w", err))
-	}
-	if commits == 0 {
-		return nil
-	}
-	// Durability before visibility: the fsync covers every received byte,
-	// commit records included, so the VN about to be published survives a
-	// local crash — re-opening replays to at least this VN.
+	// Durability before visibility: replay publishes VNs as it goes, so
+	// the fsync must already cover every byte it may read — a VN once
+	// served survives a local crash, and re-opening replays to at least it.
 	if err := r.f.Sync(); err != nil {
 		return r.failLocked(fmt.Errorf("repl: fsync of local WAL copy: %w", err))
 	}
 	r.durableLSN.Store(next)
 	r.met.durable.Set(next)
-	r.met.commits.Add(int64(commits))
-	if maxVN > 1 && uint64(maxVN) > r.replayedVN.Load() {
-		if err := r.store.InstallReplayedVN(maxVN); err != nil {
-			return r.failLocked(fmt.Errorf("repl: publishing VN %d: %w", maxVN, err))
-		}
-		r.replayedVN.Store(uint64(maxVN))
-		r.met.replayedVN.Set(int64(maxVN))
+	r.dec.Feed(seg.Payload)
+	before := r.rp.Stats().CommittedTxns
+	err := r.rp.Drain(&r.dec)
+	r.met.commits.Add(int64(r.rp.Stats().CommittedTxns - before))
+	if vn := uint64(r.store.CurrentVN()); vn > r.replayedVN.Load() {
+		r.replayedVN.Store(vn)
+		r.met.replayedVN.Set(int64(vn))
+	}
+	if err != nil {
+		return r.failLocked(fmt.Errorf("repl: replaying stream: %w", err))
 	}
 	r.noteLag()
 	return nil

@@ -122,8 +122,10 @@ type Server struct {
 	// pairs. Shutdown and Close wait on it, so "drained" provably means
 	// "no server goroutine is still running".
 	wg sync.WaitGroup
-	// watchStop stops the request-timeout watchdog.
-	watchStop chan struct{}
+	// watchStop stops the request-timeout watchdog; stopWatch closes it
+	// exactly once. The field is never reassigned.
+	watchStop     chan struct{}
+	stopWatchOnce sync.Once
 
 	started    atomic.Bool
 	draining   atomic.Bool
@@ -187,7 +189,7 @@ func (s *Server) Start() error {
 	go s.acceptLoop()
 	if s.cfg.RequestTimeout > 0 {
 		s.wg.Add(1)
-		go s.watchdog()
+		go s.watchdog(s.watchStop)
 	}
 	return nil
 }
@@ -301,13 +303,13 @@ func (s *Server) removeConn(c *conn) {
 // RequestTimeout. The engine cannot interrupt a running query, but closing
 // the socket unblocks the client and lets the drain account for the
 // connection.
-func (s *Server) watchdog() {
+func (s *Server) watchdog(stop <-chan struct{}) {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.cfg.RequestTimeout / 4)
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.watchStop:
+		case <-stop:
 			return
 		case <-tick.C:
 		}
@@ -347,7 +349,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
-	close(s.watchStopOnce())
+	s.stopWatch()
 	// Nudge every blocked reader: it wakes with a timeout error, sees the
 	// drain flag, and either exits (no open sessions) or extends its
 	// deadline to the drain deadline and keeps serving.
@@ -384,14 +386,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return fmt.Errorf("server: drain deadline exceeded; %d connections force-closed", n)
 }
 
-// watchStopOnce returns watchStop exactly once; later calls get a fresh
-// dead channel so double Shutdown does not double-close.
-func (s *Server) watchStopOnce() chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := s.watchStop
-	s.watchStop = make(chan struct{})
-	return ch
+// stopWatch stops the watchdog; Shutdown and Close may both call it.
+func (s *Server) stopWatch() {
+	s.stopWatchOnce.Do(func() { close(s.watchStop) })
 }
 
 // Close hard-stops the server: listener and every connection close
@@ -403,7 +400,7 @@ func (s *Server) Close() error {
 	if s.ln != nil {
 		err = s.ln.Close()
 	}
-	close(s.watchStopOnce())
+	s.stopWatch()
 	s.mu.Lock()
 	for c := range s.conns {
 		c.forceClose()

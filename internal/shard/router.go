@@ -190,20 +190,11 @@ func Open(opts Options) (*Router, error) {
 			continue
 		}
 		path := r.walPath(i)
-		st, engine, _, resume, err := wal.RecoverStreamFS(opts.FS, path, dbOpts, storeOpts)
+		// Recovery cuts the torn tail a crash mid-append left, so the
+		// appends below land right after the last whole record.
+		st, engine, _, err := wal.RecoverFS(opts.FS, path, dbOpts, storeOpts)
 		if err != nil {
 			return nil, fmt.Errorf("shard: recovering shard %d: %w", i, err)
-		}
-		// Drop the torn tail before appending: a crash mid-append leaves
-		// garbage that later appends must not interleave with.
-		if f, ferr := opts.FS.OpenAppend(path); ferr == nil {
-			if terr := f.Truncate(resume.CleanLSN); terr != nil {
-				f.Close()
-				return nil, fmt.Errorf("shard: truncating shard %d wal: %w", i, terr)
-			}
-			if cerr := f.Close(); cerr != nil {
-				return nil, fmt.Errorf("shard: truncating shard %d wal: %w", i, cerr)
-			}
 		}
 		lg, err := wal.AppendFS(opts.FS, path, wal.PolicyRedoOnly)
 		if err != nil {
