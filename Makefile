@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-snapshot bench-selftest all
+.PHONY: build test race stress lint fault-soak crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-snapshot bench-selftest all
 
 all: build lint test
 
@@ -26,7 +26,7 @@ stress:
 # guarded-write, decision-table, metric-registry, and WAL-error invariants,
 # plus the serving stack's goroutine-join, wire-deadline, frame-bound,
 # message-exhaustiveness, and error-leak contracts (see ARCHITECTURE.md
-# "Checked invariants"). All ten analyzers share one `go list` load. On
+# "Checked invariants"). All eleven analyzers share one `go list` load. On
 # findings the diagnostics also land in vnlvet-findings.txt, which CI
 # uploads as an artifact.
 lint:
@@ -39,6 +39,13 @@ lint:
 crash:
 	$(GO) run ./cmd/vnlcrash -faults 3 -artifact crash-fail-script.txt
 	$(GO) run ./cmd/vnlcrash -parallel -faults 1 -artifact crash-fail-script.txt
+
+# fault-soak repeats the parallel random-fault crash sweep — 50 plain runs
+# and 10 under the race detector, ~30 ms each — so an acknowledged-commit
+# loss that shows up one run in several cannot pass CI by luck.
+fault-soak:
+	$(GO) test -count=50 -run 'TestParallelSweepWithRandomFaults$$' ./internal/crashtest/
+	$(GO) test -race -count=10 -run 'TestParallelSweepWithRandomFaults$$' ./internal/crashtest/
 
 # crash-replica sweeps the WAL-shipping follower instead: a fresh replica
 # is crashed at every persisting I/O boundary of its catch-up replay,

@@ -1,4 +1,4 @@
-// Command vnlvet runs the repro lint suite: ten analyzers that mechanically
+// Command vnlvet runs the repro lint suite: eleven analyzers that mechanically
 // enforce the paper's latch, version, and decision-table invariants plus the
 // serving stack's wire/concurrency contract (internal/lint). It is a
 // multichecker in the spirit of go vet:

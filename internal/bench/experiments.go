@@ -85,7 +85,9 @@ func RunE1(cfg Config) ([]*Table, error) {
 			}
 		}
 		st := s.Stats()
-		s.GC()
+		if _, err := s.GC(); err != nil {
+			return nil, err
+		}
 		after := s.Stats()
 		b.AddRow(s.Name(), st.StorageBytes-st.PoolBytes, st.PoolBytes, st.StorageBytes,
 			st.LiveBytes, after.LiveBytes)

@@ -173,6 +173,9 @@ func (a *applier) insert(vt *VTable, base catalog.Tuple) error {
 			if err == nil {
 				return a.insertOnConflict(vt, rid, ext, base)
 			}
+			if !errors.Is(err, storage.ErrNotFound) {
+				return err
+			}
 		}
 	}
 	// Table 2, row 3: no conflicting tuple.

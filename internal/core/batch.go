@@ -331,22 +331,16 @@ func coerceKey(base *catalog.Schema, key catalog.Tuple) catalog.Tuple {
 
 // applyDelta applies one routed delta, mirroring the sequential
 // Insert/UpdateKey/DeleteKey paths exactly: updates and deletes of a key
-// with no live tuple are skipped, not errors.
+// with no live tuple are skipped, not errors, but a storage fault reading
+// the tuple fails the batch rather than dropping the delta as missing.
 func (a *applier) applyDelta(vt *VTable, d Delta) (bool, error) {
 	switch d.Op {
 	case DeltaInsert:
 		return true, a.insert(vt, d.Row)
 	case DeltaUpdate, DeltaDelete:
-		rid, ok := vt.tbl.SearchKey(d.Key)
-		if !ok {
-			return false, nil
-		}
-		ext, err := vt.tbl.Get(rid)
-		if err != nil {
-			return false, nil
-		}
-		if _, visible := vt.ext.CurrentVersion(ext); !visible {
-			return false, nil
+		rid, ext, _, ok, err := vt.currentByKey(d.Key)
+		if !ok || err != nil {
+			return false, err
 		}
 		if d.Op == DeltaUpdate {
 			return true, a.applyUpdate(vt, rid, ext, d.Row)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/catalog"
 	"repro/internal/storage"
 )
@@ -15,10 +18,12 @@ type GCStats struct {
 	// BytesReclaimed is Removed × the extended tuple size, summed per
 	// table.
 	BytesReclaimed int
-	// Err is the journal error, if any, from committing the GC
-	// pseudo-transaction. The physical reclamation itself has already
-	// happened; callers that need the reclamation to be recoverable must
-	// check it (§7).
+	// Err is the pass's first error: a storage fault reading or deleting
+	// a victim, which stops the pass at that tuple, or the journal error
+	// from committing the GC pseudo-transaction. Reclamation done before
+	// the error has already happened (and is journaled if the commit
+	// succeeded); callers that need the reclamation to be recoverable
+	// must check it (§7).
 	Err error
 }
 
@@ -93,6 +98,7 @@ func (s *Store) GCWithFloor(floor VN) GCStats {
 	}
 	j := s.journalOrNil()
 	journalOpen := false
+tables:
 	for _, vt := range s.Tables() {
 		e := vt.ext
 		var victims []storage.RID
@@ -105,25 +111,31 @@ func (s *Store) GCWithFloor(floor VN) GCStats {
 		})
 		for _, rid := range victims {
 			before, err := vt.tbl.Get(rid)
-			if err != nil {
+			if errors.Is(err, storage.ErrNotFound) {
 				continue
 			}
-			if err := vt.tbl.Delete(rid); err == nil {
-				stats.Removed++
-				stats.BytesReclaimed += e.Ext.RowBytes()
-				vt.noteTupleRemoved(before)
-				if j != nil {
-					if !journalOpen {
-						j.LogBegin(0)
-						journalOpen = true
-					}
-					j.LogDelete(e.Base.Name, rid, before)
+			if err != nil {
+				stats.Err = fmt.Errorf("core: gc reading %s %v: %w", e.Base.Name, rid, err)
+				break tables
+			}
+			if err := vt.tbl.Delete(rid); err != nil {
+				stats.Err = fmt.Errorf("core: gc deleting %s %v: %w", e.Base.Name, rid, err)
+				break tables
+			}
+			stats.Removed++
+			stats.BytesReclaimed += e.Ext.RowBytes()
+			vt.noteTupleRemoved(before)
+			if j != nil {
+				if !journalOpen {
+					j.LogBegin(0)
+					journalOpen = true
 				}
+				j.LogDelete(e.Base.Name, rid, before)
 			}
 		}
 	}
 	if journalOpen {
-		if err := j.LogCommit(0); err != nil {
+		if err := j.LogCommit(0); err != nil && stats.Err == nil {
 			stats.Err = err
 		}
 	}

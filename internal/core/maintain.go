@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -189,8 +190,11 @@ func (m *Maintenance) UpdateWhere(tableName string, pred func(catalog.Tuple) boo
 	n := 0
 	for _, rid := range rids {
 		ext, err := vt.tbl.Get(rid)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue
+		}
+		if err != nil {
+			return n, err
 		}
 		cur, visible := vt.ext.CurrentVersion(ext)
 		if !visible || (pred != nil && !pred(cur)) {
@@ -218,8 +222,11 @@ func (m *Maintenance) DeleteWhere(tableName string, pred func(catalog.Tuple) boo
 	n := 0
 	for _, rid := range rids {
 		ext, err := vt.tbl.Get(rid)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue
+		}
+		if err != nil {
+			return n, err
 		}
 		cur, visible := vt.ext.CurrentVersion(ext)
 		if !visible || (pred != nil && !pred(cur)) {
@@ -243,17 +250,9 @@ func (m *Maintenance) UpdateKey(tableName string, key catalog.Tuple, set func(ca
 	if err != nil {
 		return false, err
 	}
-	rid, ok := vt.tbl.SearchKey(key)
-	if !ok {
-		return false, nil
-	}
-	ext, err := vt.tbl.Get(rid)
-	if err != nil {
-		return false, nil
-	}
-	cur, visible := vt.ext.CurrentVersion(ext)
-	if !visible {
-		return false, nil
+	rid, ext, cur, ok, err := vt.currentByKey(key)
+	if !ok || err != nil {
+		return false, err
 	}
 	return true, m.ap.applyUpdate(vt, rid, ext, set(cur.Clone()))
 }
@@ -268,16 +267,9 @@ func (m *Maintenance) DeleteKey(tableName string, key catalog.Tuple) (bool, erro
 	if err != nil {
 		return false, err
 	}
-	rid, ok := vt.tbl.SearchKey(key)
-	if !ok {
-		return false, nil
-	}
-	ext, err := vt.tbl.Get(rid)
-	if err != nil {
-		return false, nil
-	}
-	if _, visible := vt.ext.CurrentVersion(ext); !visible {
-		return false, nil
+	rid, ext, _, ok, err := vt.currentByKey(key)
+	if !ok || err != nil {
+		return false, err
 	}
 	return true, m.ap.applyDelete(vt, rid, ext)
 }
@@ -289,16 +281,29 @@ func (m *Maintenance) GetCurrent(tableName string, key catalog.Tuple) (catalog.T
 	if err != nil {
 		return nil, false, err
 	}
-	rid, ok := vt.tbl.SearchKey(key)
-	if !ok {
-		return nil, false, nil
+	_, _, cur, ok, err := vt.currentByKey(key)
+	return cur, ok, err
+}
+
+// currentByKey finds the tuple with the given unique key: its RID, its
+// extended form, and its current version (first row of Table 1). ok is
+// false when no tuple has the key or its current version is a delete. A
+// storage fault reading the tuple is an error, never "missing": only
+// errors.Is(err, storage.ErrNotFound) means the tuple is gone.
+func (vt *VTable) currentByKey(key catalog.Tuple) (rid storage.RID, ext, cur catalog.Tuple, ok bool, err error) {
+	rid, found := vt.tbl.SearchKey(key)
+	if !found {
+		return rid, nil, nil, false, nil
 	}
-	ext, err := vt.tbl.Get(rid)
+	ext, err = vt.tbl.Get(rid)
+	if errors.Is(err, storage.ErrNotFound) {
+		return rid, nil, nil, false, nil
+	}
 	if err != nil {
-		return nil, false, nil
+		return rid, nil, nil, false, err
 	}
-	cur, visible := vt.ext.CurrentVersion(ext)
-	return cur, visible, nil
+	cur, ok = vt.ext.CurrentVersion(ext)
+	return rid, ext, cur, ok, nil
 }
 
 // cursorSelect collects the RIDs of current-version-visible tuples
@@ -558,7 +563,9 @@ func (m *Maintenance) Rollback() error {
 			u := m.ap.undo[i]
 			touched[u.vt] = true
 			if u.inserted {
-				_ = u.vt.tbl.Delete(u.rid)
+				if err := u.vt.tbl.Delete(u.rid); err != nil && !errors.Is(err, storage.ErrNotFound) {
+					return fmt.Errorf("core: rollback: %w", err)
+				}
 				continue
 			}
 			if err := u.vt.tbl.Update(u.rid, u.image); err != nil {
@@ -589,8 +596,12 @@ func (m *Maintenance) Rollback() error {
 		// kept in both modes); everything else reverts from in-tuple
 		// version information.
 		for i := len(m.ap.undo) - 1; i >= 0; i-- {
-			if m.ap.undo[i].inserted {
-				_ = m.ap.undo[i].vt.tbl.Delete(m.ap.undo[i].rid)
+			u := m.ap.undo[i]
+			if !u.inserted {
+				continue
+			}
+			if err := u.vt.tbl.Delete(u.rid); err != nil && !errors.Is(err, storage.ErrNotFound) {
+				return fmt.Errorf("core: rollback: %w", err)
 			}
 		}
 		for _, vt := range s.Tables() {
@@ -634,8 +645,11 @@ func (m *Maintenance) rollbackTableLogless(vt *VTable, cur VN) error {
 	})
 	for _, rid := range touched {
 		t, err := vt.tbl.Get(rid)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue // a physically-inserted tuple already removed above
+		}
+		if err != nil {
+			return err
 		}
 		prev, visible, err := e.ReadAsOf(t, cur)
 		if err != nil {

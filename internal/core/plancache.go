@@ -8,10 +8,9 @@ import (
 	"repro/internal/sql"
 )
 
-// defaultPlanCacheEntries bounds the ad-hoc plan cache when Options leaves
-// PlanCacheSize at zero. The cache is per store and keyed by query text, so
-// the bound caps memory for workloads that generate unbounded distinct SQL
-// (e.g. literals inlined instead of parameters).
+// defaultPlanCacheEntries bounds the plan cache. The cache is per store and
+// keyed by query text, so the bound caps memory for workloads that generate
+// unbounded distinct SQL (e.g. literals inlined instead of parameters).
 const defaultPlanCacheEntries = 256
 
 // planEntry is one cached, immutable query plan: the §4.1 rewrite compiled
@@ -25,18 +24,19 @@ type planEntry struct {
 	plan *exec.Plan
 }
 
-// planCache is the store-level rewrite/plan cache for ad-hoc queries
-// (Session.Query, Session.QueryStmt, and the server's MsgQuery path, which
-// funnels through Session.Query). Entries are keyed twice: by the raw query
-// text, so a repeated Query(text) skips the parser entirely, and by the
-// canonical printed form (sql.Print), so textual variants of one statement
-// share a single compiled plan and QueryStmt callers hit too.
+// planCache is the store's one holder of compiled plans. Session.Query,
+// Session.QueryStmt, and the server's MsgQuery path (which funnels through
+// Session.Query) look plans up here; a Prepared pins the entry it got from
+// here. Entries are keyed twice: by the raw query text, so a repeated
+// Query(text) skips the parser entirely, and by the canonical printed form
+// (sql.Print), so textual variants of one statement — and prepared and
+// ad-hoc executions of it — share a single compiled plan.
 //
-// Validity follows the same rule as Prepared: a cached plan is usable iff
-// the store's copy-on-write table registry is the identical pointer the plan
-// was derived against. CreateTable and AdoptTable publish a fresh registry,
-// invalidating every entry with no shootdown protocol — stale entries are
-// simply missed and overwritten on the next derivation.
+// A cached plan is usable iff the store's copy-on-write table registry is
+// the identical pointer the plan was derived against. CreateTable and
+// AdoptTable publish a fresh registry, invalidating every entry with no
+// shootdown protocol — stale entries are simply missed and overwritten on
+// the next derivation.
 type planCache struct {
 	mu    sync.RWMutex
 	limit int
@@ -62,7 +62,7 @@ func (c *planCache) get(key string, reg *tableRegistry) *planEntry {
 // the size bound. Map-order eviction is deliberate: the cache is a steady-
 // state accelerator, and any entry evicted by mistake is one miss away from
 // being rebuilt.
-func (c *planCache) put(keys []string, e *planEntry) {
+func (c *planCache) put(e *planEntry, keys ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, k := range keys {
@@ -76,24 +76,7 @@ func (c *planCache) put(keys []string, e *planEntry) {
 	}
 }
 
-// alias records an extra key (the raw spelling of a statement that hit under
-// its canonical form) so the next Query with that exact text skips parsing.
-func (c *planCache) alias(key string, e *planEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m[key] == e {
-		return
-	}
-	if _, present := c.m[key]; !present && len(c.m) >= c.limit {
-		for victim := range c.m {
-			delete(c.m, victim)
-			break
-		}
-	}
-	c.m[key] = e
-}
-
-// len reports the number of cached keys (test hook).
+// size reports the number of cached keys (test hook).
 func (c *planCache) size() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -101,21 +84,21 @@ func (c *planCache) size() int {
 }
 
 // selectPlan returns the cached plan for sel, deriving, compiling, and
-// caching a fresh one on miss. raw, when non-empty, is the original query
-// text and becomes a second cache key so the next Query(raw) skips the
-// parser. Only called when the plan cache is enabled.
+// caching a fresh one on miss; every call counts one plan-cache hit or
+// miss. raw, when non-empty, is the original query text and becomes a
+// second cache key so the next Query(raw) skips the parser.
 //
-// The registry is loaded once, before derivation, exactly as Prepared does:
-// a registry flip racing the derivation tags the new plan with the older
-// pointer, which only means the next lookup misses and rebuilds — both plans
-// are correct for the registry they loaded.
+// The registry is loaded once, before derivation: a registry flip racing
+// the derivation tags the new plan with the older pointer, which only means
+// the next lookup misses and rebuilds — both plans are correct for the
+// registry they loaded.
 func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) {
 	reg := s.tables.Load()
 	canon := sql.Print(sel)
 	if e := s.plans.get(canon, reg); e != nil {
 		s.metrics.planHits.Inc()
 		if raw != "" {
-			s.plans.alias(raw, e)
+			s.plans.put(e, raw)
 		}
 		return e, nil
 	}
@@ -130,11 +113,11 @@ func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) 
 		return nil, err
 	}
 	e := &planEntry{reg: reg, src: src, plan: pl}
-	keys := []string{canon}
 	if raw != "" && raw != canon {
-		keys = append(keys, raw)
+		s.plans.put(e, canon, raw)
+	} else {
+		s.plans.put(e, canon)
 	}
-	s.plans.put(keys, e)
 	return e, nil
 }
 

@@ -155,42 +155,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// PlanCacheSize < 0 disables the cache: the legacy parse-and-rewrite path
-// answers every call and the counters never move.
-func TestPlanCacheDisabled(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newStore(t, 2, func(o *Options) { o.Metrics = reg; o.PlanCacheSize = -1 })
-	if _, err := s.CreateTable(kvSchema()); err != nil {
-		t.Fatal(err)
-	}
-	m := mustMaint(t, s)
-	for k := int64(0); k < 10; k++ {
-		if err := m.Insert("kv", kvTuple(k, 100+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit(t, m)
-	sess := s.BeginSession()
-	defer sess.Close()
-	const q = `SELECT k, v FROM kv WHERE v < 105`
-	rows, err := sess.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 5 {
-		t.Fatalf("rows = %d, want 5", rows.Len())
-	}
-	if _, err := sess.Query(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	if h, mi := planCounts(reg); h != 0 || mi != 0 {
-		t.Fatalf("disabled cache moved counters: hits=%d misses=%d", h, mi)
-	}
-	if s.plans != nil {
-		t.Fatal("plan cache allocated despite PlanCacheSize = -1")
-	}
-}
-
 // legacyQuery is the pre-cache oracle: fresh rewrite, tree-walking executor,
 // at the session's version.
 func legacyQuery(t *testing.T, sess *Session, text string, params exec.Params) (*exec.Rows, error) {
@@ -307,7 +271,8 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 // The cache stays bounded: filling it past the limit evicts rather than
 // growing without bound.
 func TestPlanCacheBounded(t *testing.T) {
-	s := newStore(t, 2, func(o *Options) { o.PlanCacheSize = 8 })
+	s := newStore(t, 2)
+	s.plans = newPlanCache(8)
 	if _, err := s.CreateTable(kvSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -321,5 +286,78 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 	if n := s.plans.size(); n > 8 {
 		t.Fatalf("cache grew to %d entries, bound is 8", n)
+	}
+}
+
+// A Prepared pins a plan-cache entry, so prepared and ad-hoc executions of
+// one statement share a single compiled plan in either order, and a
+// registry flip makes both paths re-derive.
+func TestPreparedSharesPlanWithAdHoc(t *testing.T) {
+	const prepared = `SELECT k, v FROM kv WHERE k < 5`
+	const adhoc = `select  k, v  from kv  where k < 5`
+	check := func(t *testing.T, reg *obs.Registry, wantHits, wantMisses int64, when string) {
+		t.Helper()
+		if h, m := planCounts(reg); h != wantHits || m != wantMisses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", when, h, m, wantHits, wantMisses)
+		}
+	}
+	for _, preparedFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("preparedFirst=%v", preparedFirst), func(t *testing.T) {
+			s, reg := prepStore(t)
+			sess := s.BeginSession()
+			defer sess.Close()
+			p, err := s.Prepare(prepared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runPrepared := func() *exec.Rows {
+				t.Helper()
+				rows, err := sess.QueryPrepared(p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rows
+			}
+			runAdHoc := func() *exec.Rows {
+				t.Helper()
+				rows, err := sess.Query(adhoc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rows
+			}
+			first, second := runPrepared, runAdHoc
+			if !preparedFirst {
+				first, second = runAdHoc, runPrepared
+			}
+			a := first()
+			check(t, reg, 0, 1, "first execution")
+			b := second()
+			check(t, reg, 1, 1, "other path")
+			if fmt.Sprint(a.Tuples) != fmt.Sprint(b.Tuples) {
+				t.Fatalf("prepared and ad-hoc answers differ: %v vs %v", a.Tuples, b.Tuples)
+			}
+			runPrepared()
+			runAdHoc()
+			check(t, reg, 3, 1, "repeats")
+			if pinned, cached := p.entry.Load(), s.plans.get(adhoc, s.tables.Load()); pinned == nil || pinned != cached {
+				t.Fatalf("prepared pin %p and ad-hoc cache entry %p differ", pinned, cached)
+			}
+
+			// CreateTable flips the registry: both paths re-derive, and the
+			// first re-derivation is shared with the second.
+			if _, err := s.CreateTable(catalog.MustSchema("other", []catalog.Column{
+				{Name: "k", Type: catalog.TypeInt, Length: 8},
+			}, "k")); err != nil {
+				t.Fatal(err)
+			}
+			first()
+			check(t, reg, 3, 2, "first path after CreateTable")
+			second()
+			check(t, reg, 4, 2, "second path after CreateTable")
+			if p.entry.Load() != s.plans.get(adhoc, s.tables.Load()) {
+				t.Fatal("paths hold different plans after re-derivation")
+			}
+		})
 	}
 }

@@ -88,8 +88,8 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 	}
 	counts := func() (hits, misses int64) {
 		snap := reg.Snapshot()
-		return snap.Counters["core_prepared_rewrite_hits_total"],
-			snap.Counters["core_prepared_rewrite_misses_total"]
+		return snap.Counters["core_plan_cache_hits_total"],
+			snap.Counters["core_plan_cache_misses_total"]
 	}
 	query := func() {
 		t.Helper()

@@ -222,23 +222,25 @@ func (sess *Session) Expired() bool { return sess.Check() != nil }
 // maintenance transaction began) reports ErrSessionExpired rather than
 // returning an inconsistent result.
 //
-// When the store's plan cache is enabled (the default), a repeated query
-// text skips the parser, the rewrite derivation, and expression compilation
-// entirely: the cache is probed with the raw text before anything else, and
-// validity is one table-registry pointer comparison.
+// A repeated query text skips the parser, the rewrite derivation, and
+// expression compilation entirely: the plan cache is probed with the raw
+// text before anything else, and validity is one table-registry pointer
+// comparison.
 func (sess *Session) Query(text string, params exec.Params) (*exec.Rows, error) {
 	st := sess.store
-	if st.plans != nil {
-		if e := st.plans.get(text, st.tables.Load()); e != nil {
-			st.metrics.planHits.Inc()
-			return sess.queryEntry(e, params)
-		}
+	if e := st.plans.get(text, st.tables.Load()); e != nil {
+		st.metrics.planHits.Inc()
+		return sess.run(e, params)
 	}
 	sel, err := sql.ParseSelect(text)
 	if err != nil {
 		return nil, err
 	}
-	return sess.queryKeyed(sel, text, params)
+	e, err := st.selectPlan(sel, text)
+	if err != nil {
+		return nil, err
+	}
+	return sess.run(e, params)
 }
 
 // QueryStmt is Query over a pre-parsed statement. The input is not
@@ -247,145 +249,61 @@ func (sess *Session) Query(text string, params exec.Params) (*exec.Rows, error) 
 // is an atomic registry load, and the plan cache (keyed here by the
 // statement's canonical printed form) is a read-locked map probe.
 func (sess *Session) QueryStmt(sel *sql.SelectStmt, params exec.Params) (*exec.Rows, error) {
-	return sess.queryKeyed(sel, "", params)
+	e, err := sess.store.selectPlan(sel, "")
+	if err != nil {
+		return nil, err
+	}
+	return sess.run(e, params)
 }
 
-// queryKeyed executes sel through the plan cache when enabled (raw, when
-// non-empty, is the original text and becomes a second cache key), else
-// through the per-call rewrite path.
-func (sess *Session) queryKeyed(sel *sql.SelectStmt, raw string, params exec.Params) (*exec.Rows, error) {
+// run executes a cached plan at the session's version under the session's
+// expiration discipline; Query, QueryStmt, and QueryPrepared all end here.
+// Global-check sessions check before and after execution. Per-tuple
+// sessions (§3.2's optimistic alternative) check only closure and the
+// rollback floor up front, then probe each versioned table in FROM for
+// tuples the session can no longer reconstruct; unreconstructibility is
+// monotone (tuple version numbers only grow), so a clean probe after the
+// query implies the whole execution read reconstructible tuples.
+//
+// The rare stale-plan race — the table registry flipped between cache
+// validation and execution (e.g. AdoptTable replacing a table mid-flight),
+// which the plan detects by schema-pointer comparison — is recovered by
+// re-deriving the rewrite from the entry's source and running the
+// tree-walker, which resolves tables at execution time. The stale entry
+// dies on its next lookup.
+func (sess *Session) run(e *planEntry, params exec.Params) (*exec.Rows, error) {
 	st := sess.store
-	if st.plans != nil {
-		e, err := st.selectPlan(sel, raw)
-		if err != nil {
+	if !sess.perTuple {
+		if err := sess.Check(); err != nil {
 			return nil, err
 		}
-		return sess.queryEntry(e, params)
-	}
-	if sess.perTuple {
-		return sess.queryPerTuple(sel, params)
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	rw, err := RewriteSelect(st, sel)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := exec.Select(queryCatalog{st}, rw, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// queryEntry runs a cached plan under the session's expiration discipline —
-// the same check-execute-check (or execute-probe) shape as the uncached
-// paths.
-func (sess *Session) queryEntry(e *planEntry, params exec.Params) (*exec.Rows, error) {
-	if sess.perTuple {
-		return sess.queryEntryPerTuple(e, params)
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	rows, err := sess.executePlan(e, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// executePlan runs a cached plan, recovering from the rare stale-plan race:
-// the table registry can flip between cache validation and execution (e.g.
-// AdoptTable replacing the table mid-flight), which the plan detects by
-// schema-pointer comparison. Recovery re-derives against the current
-// registry instead of failing the query; the stale cache entry dies on its
-// next lookup.
-func (sess *Session) executePlan(e *planEntry, params exec.Params) (*exec.Rows, error) {
-	st := sess.store
-	rows, err := e.plan.Execute(queryCatalog{st}, params)
-	if err != nil && errors.Is(err, exec.ErrPlanStale) {
-		rw, rerr := RewriteSelect(st, e.src)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return exec.Select(queryCatalog{st}, rw, params)
-	}
-	return rows, err
-}
-
-// queryEntryPerTuple is queryEntry under §3.2's optimistic expiration
-// alternative, mirroring queryPerTuple.
-func (sess *Session) queryEntryPerTuple(e *planEntry, params exec.Params) (*exec.Rows, error) {
-	if sess.closed.Load() {
+	} else if sess.closed.Load() {
 		return nil, ErrSessionClosed
-	}
-	_, _, floor := sess.store.readGlobals()
-	if sess.vn < floor {
+	} else if _, _, floor := st.readGlobals(); sess.vn < floor {
 		return nil, sess.markExpired()
 	}
-	rows, err := sess.executePlan(e, withSessionVN(params, sess.vn))
+	params = withSessionVN(params, sess.vn)
+	rows, err := e.plan.Execute(queryCatalog{st}, params)
+	if errors.Is(err, exec.ErrPlanStale) {
+		var rw *sql.SelectStmt
+		if rw, err = RewriteSelect(st, e.src); err == nil {
+			rows, err = exec.Select(queryCatalog{st}, rw, params)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	if sess.midQueryHook != nil {
 		sess.midQueryHook()
+	}
+	if !sess.perTuple {
+		if err := sess.Check(); err != nil {
+			return nil, err
+		}
+		return rows, nil
 	}
 	for _, tr := range e.src.From {
-		vt := sess.store.lookup(tr.Table)
-		if vt == nil {
-			continue
-		}
-		if vt.hasUnreconstructible(sess.vn) {
-			return nil, sess.markExpired()
-		}
-	}
-	return rows, nil
-}
-
-// queryPerTuple executes with the optimistic expiration discipline: run the
-// rewritten query, then probe each versioned table it touched for tuples
-// the session can no longer reconstruct. Unreconstructibility is monotone
-// (tuple version numbers only grow), so a clean probe after the query
-// implies the whole execution read reconstructible tuples.
-func (sess *Session) queryPerTuple(sel *sql.SelectStmt, params exec.Params) (*exec.Rows, error) {
-	if sess.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	_, _, floor := sess.store.readGlobals()
-	if sess.vn < floor {
-		return nil, sess.markExpired()
-	}
-	rw, err := RewriteSelect(sess.store, sel)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := exec.Select(queryCatalog{sess.store}, rw, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	for _, tr := range sel.From {
-		vt := sess.store.lookup(tr.Table)
-		if vt == nil {
-			continue
-		}
-		if vt.hasUnreconstructible(sess.vn) {
+		if vt := st.lookup(tr.Table); vt != nil && vt.hasUnreconstructible(sess.vn) {
 			return nil, sess.markExpired()
 		}
 	}

@@ -1,4 +1,4 @@
-// Package lint is vnlvet's analysis suite: ten custom analyzers that
+// Package lint is vnlvet's analysis suite: eleven custom analyzers that
 // mechanically enforce the invariants 2VNL's correctness rests on but the
 // compiler cannot see — the §3 latch/table discipline of the core engine,
 // and the wire/concurrency contract of the serving stack (PROTOCOL.md):
@@ -39,6 +39,10 @@
 //   - errleak: wire errors pass through a `//vnlvet:errmap` mapping
 //     function — never an ad-hoc ErrMsg literal or raw err.Error() —
 //     keeping codes stable and internal strings off the socket.
+//   - storageerr: a branch on the error of a storage Get/Update/Delete
+//     either propagates it or tests errors.Is(err, storage.ErrNotFound);
+//     a buffer-pool fault read as "tuple missing" silently drops a
+//     maintenance delta from an acknowledged commit.
 //
 // The package has no dependency outside the standard library: it carries a
 // minimal re-implementation of the x/tools go/analysis surface (Analyzer,
@@ -103,7 +107,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // analyzers of PR 2, then the five serving-stack analyzers (goroutine
 // joins, wire deadlines, frame bounds, wire-enum exhaustiveness, error
 // leaks) added when internal/server and pkg/vnlclient grew past what the
-// core checks could see.
+// core checks could see, then the storage not-found discipline.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LatchSafety,
@@ -116,6 +120,7 @@ func Analyzers() []*Analyzer {
 		FrameBounds,
 		MsgExhaustive,
 		ErrLeak,
+		StorageErr,
 	}
 }
 

@@ -224,8 +224,11 @@ func (r *mvReader) Get(k int64) (int64, bool, error) {
 		return 0, false, nil
 	}
 	t, err := r.s.tbl.Get(rid)
-	if err != nil {
+	if errors.Is(err, storage.ErrNotFound) {
 		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, err
 	}
 	return r.resolve(t)
 }
@@ -362,17 +365,23 @@ func (w *mvWriter) Commit() error {
 }
 
 // Abort restores every touched tuple from its newest preserved version and
-// removes inserted tuples.
+// removes inserted tuples. A storage fault stops the restore and is
+// returned; a tuple already gone is skipped.
 func (w *mvWriter) Abort() error {
 	defer w.finish()
 	s := w.s
 	for _, rid := range w.inserted {
-		_ = s.tbl.Delete(rid)
+		if err := s.tbl.Delete(rid); err != nil && !errors.Is(err, storage.ErrNotFound) {
+			return err
+		}
 	}
 	for _, rid := range w.touched {
 		t, err := s.tbl.Get(rid)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue
+		}
+		if err != nil {
+			return err
 		}
 		if s.cache > 0 && !t[mvFixedCols+1].IsNull() {
 			// Pop the newest cached version back into the tuple.
@@ -383,7 +392,9 @@ func (w *mvWriter) Abort() error {
 			}
 			last := mvFixedCols + 3*(s.cache-1)
 			t[last], t[last+1], t[last+2] = catalog.Null, catalog.Null, catalog.Null
-			_ = s.tbl.Update(rid, t)
+			if err := s.tbl.Update(rid, t); err != nil {
+				return err
+			}
 			continue
 		}
 		// Pop from the pool chain.
@@ -393,20 +404,29 @@ func (w *mvWriter) Abort() error {
 		}
 		prid := storage.RID{Page: int(pg.Int()), Slot: int(sl.Int())}
 		rec, err := s.pool.Get(prid)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue
+		}
+		if err != nil {
+			return err
 		}
 		t[mvV], t[mvVN], t[mvDead] = rec[plV], rec[plVN], rec[plDead]
 		t[mvHeadPage], t[mvHeadSlot] = rec[plNextPage], rec[plNextSlot]
-		_ = s.tbl.Update(rid, t)
-		_ = s.pool.Delete(prid)
+		if err := s.tbl.Update(rid, t); err != nil {
+			return err
+		}
+		if err := s.pool.Delete(prid); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // GC implements Scheme: reclaims pool records (and dead main tuples) that
-// no active reader can reach, per the oldest active begin-timestamp.
-func (s *MV2PL) GC() int {
+// no active reader can reach, per the oldest active begin-timestamp. A
+// storage fault while walking the chains reclaims nothing; one while
+// reclaiming stops the pass there. Either is returned.
+func (s *MV2PL) GC() (int, error) {
 	s.mu.Lock()
 	floor := s.committed
 	for r := range s.readers {
@@ -417,7 +437,7 @@ func (s *MV2PL) GC() int {
 	writerActive := s.writer
 	s.mu.Unlock()
 	if writerActive {
-		return 0
+		return 0, nil
 	}
 	reclaimed := 0
 	type mainFix struct {
@@ -426,6 +446,7 @@ func (s *MV2PL) GC() int {
 	}
 	var fixes []mainFix
 	var poolVictims []storage.RID
+	var walkErr error
 	s.tbl.Scan(func(rid storage.RID, t catalog.Tuple) bool {
 		// Walk the chain; once a version with vn <= floor is found, every
 		// older record is unreachable.
@@ -446,8 +467,12 @@ func (s *MV2PL) GC() int {
 		for !pg.IsNull() {
 			prid := storage.RID{Page: int(pg.Int()), Slot: int(sl.Int())}
 			rec, err := s.pool.Get(prid)
-			if err != nil {
+			if errors.Is(err, storage.ErrNotFound) {
 				break
+			}
+			if err != nil {
+				walkErr = err
+				return false
 			}
 			if found {
 				poolVictims = append(poolVictims, prid)
@@ -475,26 +500,33 @@ func (s *MV2PL) GC() int {
 	// chains are only reclaimed whole-tuple here: when the current version
 	// itself satisfies every reader (vn <= floor), the entire chain is
 	// unreachable.
+	if walkErr != nil {
+		return 0, walkErr
+	}
 	for _, f := range fixes {
 		if f.drop {
-			if err := s.tbl.Delete(f.rid); err == nil {
-				reclaimed++
+			if err := s.tbl.Delete(f.rid); err != nil {
+				return reclaimed, err
 			}
+			reclaimed++
 			continue
 		}
 		t, err := s.tbl.Get(f.rid)
 		if err != nil {
-			continue
+			return reclaimed, err
 		}
 		if t[mvVN].Int() <= floor {
 			t[mvHeadPage], t[mvHeadSlot] = catalog.Null, catalog.Null
-			_ = s.tbl.Update(f.rid, t)
+			if err := s.tbl.Update(f.rid, t); err != nil {
+				return reclaimed, err
+			}
 		}
 	}
 	for _, prid := range poolVictims {
-		if err := s.pool.Delete(prid); err == nil {
-			reclaimed++
+		if err := s.pool.Delete(prid); err != nil {
+			return reclaimed, err
 		}
+		reclaimed++
 	}
-	return reclaimed
+	return reclaimed, nil
 }

@@ -342,14 +342,17 @@ func TestMV2PLGC(t *testing.T) {
 	}
 	// GC with the ts=2 reader active: only records older than version 2
 	// (the initial v=100 versions) are reclaimable.
-	if n := s.GC(); n != 2 {
-		t.Errorf("GC with active ts=2 reader reclaimed %d, want 2", n)
+	if n, err := s.GC(); err != nil || n != 2 {
+		t.Errorf("GC with active ts=2 reader reclaimed %d (err %v), want 2", n, err)
 	}
 	if v, ok, err := old.Get(0); err != nil || !ok || v != 0 {
 		t.Fatalf("reader after GC: %d %v %v, want version-2 value 0", v, ok, err)
 	}
 	old.Close()
-	reclaimed := s.GC()
+	reclaimed, err := s.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if reclaimed == 0 {
 		t.Error("GC reclaimed nothing with no readers")
 	}

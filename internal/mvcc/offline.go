@@ -60,7 +60,7 @@ func (s *Offline) Stats() Stats {
 }
 
 // GC implements Scheme.
-func (s *Offline) GC() int { return 0 }
+func (s *Offline) GC() (int, error) { return 0, nil }
 
 type offlineReader struct{ s *Offline }
 
@@ -81,8 +81,11 @@ func (r *offlineReader) Get(k int64) (int64, bool, error) {
 		return 0, false, nil
 	}
 	t, err := r.s.tbl.Get(rid)
-	if err != nil {
+	if errors.Is(err, storage.ErrNotFound) {
 		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, err
 	}
 	return t[1].Int(), true, nil
 }

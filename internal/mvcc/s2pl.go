@@ -72,7 +72,7 @@ func (s *S2PL) Stats() Stats {
 }
 
 // GC implements Scheme (no version storage).
-func (s *S2PL) GC() int { return 0 }
+func (s *S2PL) GC() (int, error) { return 0, nil }
 
 type s2plReader struct {
 	s  *S2PL
@@ -103,8 +103,11 @@ func (r *s2plReader) Get(k int64) (int64, bool, error) {
 		return 0, false, nil
 	}
 	t, err := r.s.tbl.Get(rid)
-	if err != nil {
+	if errors.Is(err, storage.ErrNotFound) {
 		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, err
 	}
 	return t[1].Int(), true, nil
 }

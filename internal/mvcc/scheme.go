@@ -113,6 +113,7 @@ type Scheme interface {
 	// Stats snapshots the cost counters.
 	Stats() Stats
 	// GC reclaims versions no active reader needs; returns records
-	// reclaimed. No-op for schemes without version storage.
-	GC() int
+	// reclaimed and the storage fault, if any, that stopped the pass.
+	// No-op for schemes without version storage.
+	GC() (int, error)
 }

@@ -94,7 +94,7 @@ func (s *TwoV2PL) Stats() Stats {
 }
 
 // GC implements Scheme: pending state is cleaned at commit, nothing to do.
-func (s *TwoV2PL) GC() int { return 0 }
+func (s *TwoV2PL) GC() (int, error) { return 0, nil }
 
 type twoVReader struct {
 	s  *TwoV2PL
@@ -116,8 +116,11 @@ func (r *twoVReader) readCommitted(rid storage.RID) (int64, bool, error) {
 		return 0, false, err
 	}
 	t, err := r.s.tbl.Get(rid)
-	if err != nil {
+	if errors.Is(err, storage.ErrNotFound) {
 		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, err
 	}
 	if t[1].IsNull() {
 		return 0, false, nil // pending insert: no committed version yet
@@ -240,17 +243,20 @@ func (w *twoVWriter) Commit() error {
 	for _, rid := range w.written {
 		if err := w.tx.Certify(txn.TupleResource("acct", rid)); err != nil {
 			if errors.Is(err, txn.ErrDeadlock) {
-				w.rollbackPending()
+				rerr := w.rollbackPending()
 				w.tx.Abort()
-				return fmt.Errorf("%w: certify: %v", ErrAborted, err)
+				return errors.Join(fmt.Errorf("%w: certify: %v", ErrAborted, err), rerr)
 			}
 			return err
 		}
 	}
 	for _, rid := range w.written {
 		t, err := w.s.tbl.Get(rid)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue
+		}
+		if err != nil {
+			return err
 		}
 		if t[3].IsNull() {
 			continue // already installed (rid written more than once)
@@ -273,25 +279,35 @@ func (w *twoVWriter) Commit() error {
 	return w.tx.Commit()
 }
 
-func (w *twoVWriter) rollbackPending() {
+// rollbackPending discards every pending version the writer staged. A
+// storage fault stops it and is returned; a tuple already gone is skipped.
+func (w *twoVWriter) rollbackPending() error {
 	for _, rid := range w.written {
 		t, err := w.s.tbl.Get(rid)
-		if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
 			continue
 		}
+		if err != nil {
+			return err
+		}
 		if t[1].IsNull() { // pending insert: remove
-			_ = w.s.tbl.Delete(rid)
+			if err := w.s.tbl.Delete(rid); err != nil && !errors.Is(err, storage.ErrNotFound) {
+				return err
+			}
 			continue
 		}
 		t[2], t[3] = catalog.Null, catalog.Null
-		_ = w.s.tbl.Update(rid, t)
+		if err := w.s.tbl.Update(rid, t); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // Abort discards pending versions; readers were never exposed to them.
 func (w *twoVWriter) Abort() error {
 	defer w.finish()
-	w.rollbackPending()
+	err := w.rollbackPending()
 	w.tx.Abort()
-	return nil
+	return err
 }

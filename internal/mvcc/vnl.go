@@ -81,7 +81,10 @@ func (s *VNL) Stats() Stats {
 }
 
 // GC implements Scheme.
-func (s *VNL) GC() int { return s.store.GC().Removed }
+func (s *VNL) GC() (int, error) {
+	st := s.store.GC()
+	return st.Removed, st.Err
+}
 
 type vnlReader struct {
 	s    *VNL

@@ -7,8 +7,8 @@
 #   reader_scaling  BenchmarkReaderScaling   (root package)
 #   maintain_batch  BenchmarkMaintainBatch   (root package)
 #   wire_latency    BenchmarkWirePing        (internal/server, single run)
-#   query_latency   BenchmarkQueryLatency    (root package; cached vs
-#                                             uncached ad-hoc, prepared)
+#   query_latency   BenchmarkQueryLatency    (root package; plan-cache hit
+#                                             vs miss ad-hoc, prepared)
 #   replica_catchup BenchmarkReplicaCatchup  (internal/repl; cold-start
 #                                             time-to-VN-parity per backlog)
 #   shard_scaling   BenchmarkShardScaling    (internal/shard; two-phase
