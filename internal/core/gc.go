@@ -101,30 +101,41 @@ func (s *Store) GCWithFloor(floor VN) GCStats {
 tables:
 	for _, vt := range s.Tables() {
 		e := vt.ext
+		oldest := e.L.N - 1
+		// One scan finds the victims and the oldest-slot high-water mark
+		// the table will have once they are gone, so removing a victim
+		// that carries the mark costs no rescan. No maintenance write can
+		// land during the pass, and until the new mark is stored the old
+		// one stays high, which readers tolerate (a spurious expiry at
+		// worst, never a missed one).
 		var victims []storage.RID
+		var survivorsHW int64
 		vt.tbl.Scan(func(rid storage.RID, t catalog.Tuple) bool {
 			stats.Scanned++
 			if e.OpAt(t, 1) == OpDelete && e.TupleVN(t, 1) <= floor {
 				victims = append(victims, rid)
+			} else if vn := int64(e.TupleVN(t, oldest)); vn > survivorsHW {
+				survivorsHW = vn
 			}
 			return true
 		})
 		for _, rid := range victims {
 			before, err := vt.tbl.Get(rid)
 			if errors.Is(err, storage.ErrNotFound) {
-				continue
+				continue // left out of survivorsHW too, so the mark stays exact
 			}
 			if err != nil {
 				stats.Err = fmt.Errorf("core: gc reading %s %v: %w", e.Base.Name, rid, err)
+				vt.recomputeOldestHW()
 				break tables
 			}
 			if err := vt.tbl.Delete(rid); err != nil {
 				stats.Err = fmt.Errorf("core: gc deleting %s %v: %w", e.Base.Name, rid, err)
+				vt.recomputeOldestHW()
 				break tables
 			}
 			stats.Removed++
 			stats.BytesReclaimed += e.Ext.RowBytes()
-			vt.noteTupleRemoved(before)
 			if j != nil {
 				if !journalOpen {
 					j.LogBegin(0)
@@ -132,6 +143,9 @@ tables:
 				}
 				j.LogDelete(e.Base.Name, rid, before)
 			}
+		}
+		if len(victims) > 0 {
+			vt.oldestHW.Store(survivorsHW)
 		}
 	}
 	if journalOpen {

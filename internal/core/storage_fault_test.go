@@ -123,45 +123,42 @@ func TestApplyBatchGetFaultFailsBatch(t *testing.T) {
 }
 
 // A write-back fault raised by the eviction inside GC's victim Get must
-// surface in GCStats.Err, not silently skip the victim; a clean pass
-// afterwards reclaims what the faulted one left.
+// surface in GCStats.Err, not silently skip the victim, and must leave the
+// table's oldest-slot watermark exact; a clean pass afterwards reclaims
+// what the faulted one left.
 func TestGCGetFaultReported(t *testing.T) {
 	const rows = 40
 	s, d, fs, script := faultStore(t, rows, 1)
 	if pageOf(t, s, 0) == pageOf(t, s, rows-1) {
 		t.Fatal("fixture too small: keys 0 and rows-1 share a page")
 	}
-	// Two committed deletes on different pages: reclaiming the first
-	// dirties its page, so the second victim's Get must write it back.
-	m := mustMaint(t, s)
-	for _, k := range []int64{0, rows - 1} {
-		if _, err := m.DeleteKey("kv", catalog.Tuple{catalog.NewInt(k)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit(t, m)
-	// A later update lifts the table's oldest-slot watermark above the
-	// victims, so removing them does not trigger a watermark rescan (which
-	// would write the dirty page back before the second victim's Get).
-	m = mustMaint(t, s)
-	if _, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(rows / 2)},
-		func(catalog.Tuple) catalog.Tuple { return kvTuple(rows/2, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	commit(t, m)
+	// Two committed deletes on different pages, key 0 in the latest batch,
+	// so the scan meets the mark-carrying victim first. Reclaiming it
+	// dirties its page, so the second victim's Get must write it back; the
+	// fault stops the pass with key rows-1 still present, and the mark must
+	// then be key rows-1's delete, neither the removed key 0's nor the
+	// survivors' alone.
+	batch(t, s, func(m *Maintenance) { deleteKeys(t, m, rows-1) })
+	batch(t, s, func(m *Maintenance) { deleteKeys(t, m, 0) })
 	if err := d.Pool().Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	script.AddFault(fs.PersistOps()+1, vfs.FaultErr, 0)
-	if st := s.GC(); st.Err == nil {
+	st := s.GC()
+	if st.Err == nil {
 		t.Fatalf("GC pass succeeded despite the write-back fault: %+v", st)
 	}
-
-	fs.SetScript(nil)
-	if st := s.GC(); st.Err != nil {
-		t.Fatalf("clean GC pass: %v", st.Err)
+	if st.Removed != 1 {
+		t.Fatalf("faulted pass removed %d tuples, want 1 before the fault", st.Removed)
 	}
+	fs.SetScript(nil)
+	checkWatermark(t, s, "after a fault-stopped pass")
+
+	if st := s.GC(); st.Err != nil || st.Removed != 1 {
+		t.Fatalf("clean GC pass = %+v", st)
+	}
+	checkWatermark(t, s, "after the clean pass")
 	if dead := s.DeadTuples()["kv"]; dead != 0 {
 		t.Fatalf("%d dead tuples remain after a clean pass", dead)
 	}

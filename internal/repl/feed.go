@@ -74,11 +74,12 @@ func (f *Feed) DurableLSN() int64 {
 	return f.static
 }
 
-// WaitDurable blocks until the durable end exceeds from or the timeout
-// elapses. A static feed never grows, so it returns immediately.
-func (f *Feed) WaitDurable(from int64, timeout time.Duration) int64 {
+// WaitDurable blocks until the durable end exceeds from, the timeout
+// elapses, or stop is closed. A static feed never grows, so it returns
+// immediately.
+func (f *Feed) WaitDurable(from int64, timeout time.Duration, stop <-chan struct{}) int64 {
 	if f.log != nil {
-		return f.log.WaitDurable(from, timeout)
+		return f.log.WaitDurable(from, timeout, stop)
 	}
 	return f.static
 }

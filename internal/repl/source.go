@@ -41,7 +41,7 @@ func (s *DirectSource) Poll(epoch, fromLSN, pinned uint64, maxBytes uint32, wait
 	if pvn == nil {
 		pvn = func() uint64 { return 0 }
 	}
-	seg, code, err := server.PollFeed(s.Feed, pvn, m)
+	seg, code, err := server.PollFeed(s.Feed, pvn, m, nil)
 	if err != nil {
 		return server.ReplSegment{}, &server.WireError{Code: code, Msg: err.Error()}
 	}

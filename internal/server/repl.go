@@ -22,9 +22,10 @@ type ReplFeed interface {
 	Epoch() uint64
 	// DurableLSN is the byte offset covered by the last successful fsync.
 	DurableLSN() int64
-	// WaitDurable blocks until DurableLSN exceeds from or the timeout
-	// elapses, returning the durable LSN either way (the long-poll hold).
-	WaitDurable(from int64, timeout time.Duration) int64
+	// WaitDurable blocks until DurableLSN exceeds from, the timeout
+	// elapses, or stop is closed, returning the durable LSN either way
+	// (the long-poll hold). A nil stop never fires.
+	WaitDurable(from int64, timeout time.Duration, stop <-chan struct{}) int64
 	// ReadAt reads log bytes at the given offset (standard io.ReaderAt
 	// contract); only offsets below DurableLSN are requested.
 	ReadAt(p []byte, off int64) (int, error)
@@ -68,9 +69,12 @@ const (
 // PollFeed serves one replication poll against feed: epoch and range
 // checks, a bounded long-poll when the follower is at the durable end, then
 // one bounded segment read. It is shared by the wire handler and the
-// in-process sources the tests, benchmarks, and crash sweeps drive. The
-// returned ErrCode is zero on success and classifies the failure otherwise.
-func PollFeed(feed ReplFeed, primaryVN func() uint64, m ReplPoll) (ReplSegment, ErrCode, error) {
+// in-process sources the tests, benchmarks, and crash sweeps drive. Closing
+// stop (the server's, when it shuts down) ends a held poll at once; it is
+// then answered like an expired hold, as a heartbeat when no new bytes
+// became durable. The returned ErrCode is zero on success and classifies
+// the failure otherwise.
+func PollFeed(feed ReplFeed, primaryVN func() uint64, m ReplPoll, stop <-chan struct{}) (ReplSegment, ErrCode, error) {
 	epoch := feed.Epoch()
 	if m.Epoch != 0 && m.Epoch != epoch {
 		return ReplSegment{}, CodeReplRange, fmt.Errorf(
@@ -94,7 +98,7 @@ func PollFeed(feed ReplFeed, primaryVN func() uint64, m ReplPoll) (ReplSegment, 
 		if wait > replMaxWait {
 			wait = replMaxWait
 		}
-		durable = feed.WaitDurable(from, wait)
+		durable = feed.WaitDurable(from, wait, stop)
 	}
 	seg := ReplSegment{
 		Epoch:      epoch,

@@ -44,8 +44,9 @@ type Config struct {
 	// socket is severed to free the client side). 0 disables the watchdog.
 	RequestTimeout time.Duration
 	// WriteTimeout bounds each response write and flush, so a client that
-	// stops reading cannot wedge a writer goroutine on a full socket
-	// buffer. 0 disables it.
+	// stops reading cannot wedge its connection's goroutine on a full
+	// socket buffer: the write fails and the connection is severed. 0
+	// disables it.
 	WriteTimeout time.Duration
 	// DrainTimeout bounds Shutdown when its context has no deadline.
 	// 0 means 10s.
@@ -103,7 +104,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 }
 
 // Server is the TCP front end. One Server owns one listener, an accept
-// loop, and the per-connection goroutine pairs; queries run on the store's
+// loop, and one goroutine per connection; queries run on the store's
 // lock-free reader path, and maintenance batches serialize on a server-side
 // mutex in front of core's single-writer rule.
 type Server struct {
@@ -118,14 +119,15 @@ type Server struct {
 	conns map[*conn]struct{}
 
 	// wg tracks every goroutine the server spawns: the accept loop, the
-	// watchdog, reject writers, and the per-connection reader/writer
-	// pairs. Shutdown and Close wait on it, so "drained" provably means
-	// "no server goroutine is still running".
+	// watchdog, reject writers, and one goroutine per connection. Shutdown
+	// and Close wait on it, so "drained" provably means "no server
+	// goroutine is still running".
 	wg sync.WaitGroup
-	// watchStop stops the request-timeout watchdog; stopWatch closes it
-	// exactly once. The field is never reassigned.
-	watchStop     chan struct{}
-	stopWatchOnce sync.Once
+	// stop is closed exactly once (by stopOnce) when Shutdown or Close
+	// begins: it ends the request-timeout watchdog and cuts short any held
+	// replication long-poll. The field is never reassigned.
+	stop     chan struct{}
+	stopOnce sync.Once
 
 	started    atomic.Bool
 	draining   atomic.Bool
@@ -163,12 +165,12 @@ func New(cfg Config) *Server {
 		backend = NewCoreBackend(cfg.Store)
 	}
 	s := &Server{
-		cfg:       cfg,
-		backend:   backend,
-		reg:       reg,
-		metrics:   newServerMetrics(reg),
-		conns:     make(map[*conn]struct{}),
-		watchStop: make(chan struct{}),
+		cfg:     cfg,
+		backend: backend,
+		reg:     reg,
+		metrics: newServerMetrics(reg),
+		conns:   make(map[*conn]struct{}),
+		stop:    make(chan struct{}),
 	}
 	s.stmts.ids = make(map[string]uint32)
 	return s
@@ -189,7 +191,7 @@ func (s *Server) Start() error {
 	go s.acceptLoop()
 	if s.cfg.RequestTimeout > 0 {
 		s.wg.Add(1)
-		go s.watchdog(s.watchStop)
+		go s.watchdog(s.stop)
 	}
 	return nil
 }
@@ -276,7 +278,6 @@ func (s *Server) startConn(nc net.Conn) {
 	c := &conn{
 		srv:      s,
 		nc:       nc,
-		out:      make(chan outFrame, 16),
 		sessions: make(map[uint32]BackendSession),
 	}
 	s.mu.Lock()
@@ -284,9 +285,8 @@ func (s *Server) startConn(nc net.Conn) {
 	s.mu.Unlock()
 	s.metrics.connsAccepted.Inc()
 	s.metrics.connsActive.Add(1)
-	s.wg.Add(2)
-	go c.readLoop()
-	go c.writeLoop()
+	s.wg.Add(1)
+	go c.serve()
 }
 
 func (s *Server) removeConn(c *conn) {
@@ -349,7 +349,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
-	s.stopWatch()
+	s.stopServing()
 	// Nudge every blocked reader: it wakes with a timeout error, sees the
 	// drain flag, and either exits (no open sessions) or extends its
 	// deadline to the drain deadline and keeps serving.
@@ -386,9 +386,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return fmt.Errorf("server: drain deadline exceeded; %d connections force-closed", n)
 }
 
-// stopWatch stops the watchdog; Shutdown and Close may both call it.
-func (s *Server) stopWatch() {
-	s.stopWatchOnce.Do(func() { close(s.watchStop) })
+// stopServing closes s.stop; Shutdown and Close may both call it.
+func (s *Server) stopServing() {
+	s.stopOnce.Do(func() { close(s.stop) })
 }
 
 // Close hard-stops the server: listener and every connection close
@@ -400,7 +400,7 @@ func (s *Server) Close() error {
 	if s.ln != nil {
 		err = s.ln.Close()
 	}
-	s.stopWatch()
+	s.stopServing()
 	s.mu.Lock()
 	for c := range s.conns {
 		c.forceClose()
@@ -481,23 +481,16 @@ func (s *Server) applyBatch(deltas []Delta) (BatchDone, error) {
 	}, nil
 }
 
-// outFrame is one response queued to a connection's writer goroutine.
-type outFrame struct {
-	t    MsgType
-	body []byte
-}
-
-// conn is one client connection: a reader goroutine that decodes and
-// handles requests in order, and a writer goroutine that owns the buffered
-// socket writer. Sessions live in the reader goroutine's map; the atomic
+// conn is one client connection, served by one goroutine: it reads a
+// request, handles it, and writes and flushes the response itself before
+// reading the next. Sessions live in that goroutine's map; the atomic
 // counter mirrors the count for Shutdown's cross-goroutine inspection.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out chan outFrame
 
 	// sessions maps wire session ids to live reader sessions. Owned by
-	// the reader goroutine; no lock needed.
+	// the connection goroutine; no lock needed.
 	sessions map[uint32]BackendSession
 	nextSID  uint32
 
@@ -510,15 +503,15 @@ type conn struct {
 	closeOnce sync.Once
 }
 
-// forceClose severs the socket; both goroutines unwind on the resulting
-// I/O errors.
+// forceClose severs the socket; the connection goroutine unwinds on the
+// resulting I/O error.
 func (c *conn) forceClose() {
 	c.closeOnce.Do(func() { _ = c.nc.Close() })
 }
 
 func (c *conn) draining() bool { return c.srv.draining.Load() }
 
-func (c *conn) readLoop() {
+func (c *conn) serve() {
 	defer c.srv.wg.Done()
 	defer func() {
 		// Close any sessions the client left open; their registry entries
@@ -529,16 +522,17 @@ func (c *conn) readLoop() {
 		c.srv.metrics.wireSessions.Add(-c.nSessions.Load())
 		c.nSessions.Store(0)
 		c.srv.removeConn(c)
-		close(c.out) // writer flushes queued responses, then closes the socket
+		c.forceClose()
 	}()
 	br := bufio.NewReader(c.nc)
+	bw := bufio.NewWriter(c.nc)
 	for {
 		if d := c.srv.cfg.IdleTimeout; d > 0 && !c.draining() {
 			_ = c.nc.SetReadDeadline(time.Now().Add(d))
 		}
 		t, body, err := ReadFrame(br)
 		if err != nil {
-			if c.handleReadErr(err) {
+			if c.handleReadErr(bw, err) {
 				continue
 			}
 			return
@@ -546,20 +540,36 @@ func (c *conn) readLoop() {
 		c.inflightSince.Store(time.Now().UnixNano())
 		rt, rbody := c.handle(t, body)
 		c.inflightSince.Store(0)
-		c.out <- outFrame{t: rt, body: rbody}
+		if err := c.reply(bw, rt, rbody); err != nil {
+			c.srv.logf("write to %s: %v; severing", c.nc.RemoteAddr(), err)
+			return
+		}
 		if c.draining() && c.nSessions.Load() == 0 {
-			// Drained: the in-flight request was answered (the writer
-			// flushes the queue before closing) and no sessions remain.
+			// Drained: the in-flight request was answered and flushed, and
+			// no sessions remain.
 			return
 		}
 	}
 }
 
-// handleReadErr classifies a read failure. It returns true when the reader
-// should continue (a drain nudge woke a connection that still has open
-// sessions), false to close the connection — after sending a BadFrame
+// reply writes and flushes one response under WriteTimeout. Its error
+// ends the connection: a peer that stops reading costs the server at most
+// WriteTimeout, never a goroutine.
+func (c *conn) reply(bw *bufio.Writer, t MsgType, body []byte) error {
+	if d := c.srv.cfg.WriteTimeout; d > 0 {
+		_ = c.nc.SetWriteDeadline(time.Now().Add(d))
+	}
+	if err := WriteFrame(bw, t, body); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// handleReadErr classifies a read failure. It returns true when the
+// connection should keep serving (a drain nudge woke a connection that
+// still has open sessions), false to close it — after writing a BadFrame
 // error for protocol-level garbage.
-func (c *conn) handleReadErr(err error) bool {
+func (c *conn) handleReadErr(bw *bufio.Writer, err error) bool {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		if !c.draining() {
@@ -578,40 +588,10 @@ func (c *conn) handleReadErr(err error) bool {
 		return false
 	}
 	// Frame-level garbage (bad length prefix, foreign version): tell the
-	// client why before closing.
-	c.out <- outFrame{t: MsgErr, body: wireErr(CodeBadFrame, err)}
+	// client why before closing. The connection closes either way, so a
+	// failed write changes nothing.
+	_ = c.reply(bw, MsgErr, wireErr(CodeBadFrame, err))
 	return false
-}
-
-func (c *conn) writeLoop() {
-	defer c.srv.wg.Done()
-	bw := bufio.NewWriter(c.nc)
-	dead := false
-	for f := range c.out {
-		if dead {
-			continue // drain the queue so the reader never blocks on send
-		}
-		if d := c.srv.cfg.WriteTimeout; d > 0 {
-			_ = c.nc.SetWriteDeadline(time.Now().Add(d))
-		}
-		if err := WriteFrame(bw, f.t, f.body); err != nil {
-			dead = true
-			c.forceClose()
-			continue
-		}
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-				c.forceClose()
-			}
-		}
-	}
-	if !dead {
-		if err := bw.Flush(); err != nil {
-			c.srv.logf("final flush on %s: %v", c.nc.RemoteAddr(), err)
-		}
-	}
-	c.forceClose()
 }
 
 // wireErr renders the MsgErr body for an error: the one place an internal
@@ -663,7 +643,7 @@ func (c *conn) errRespf(code ErrCode, format string, args ...any) (MsgType, []by
 }
 
 // handle dispatches one request and returns its response frame. It runs on
-// the reader goroutine, so per-connection state needs no locking; queries
+// the connection goroutine, so per-connection state needs no locking; queries
 // execute on the store's lock-free reader path.
 func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 	s := c.srv
@@ -785,7 +765,7 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 				m.WaitMs = uint32(lim)
 			}
 		}
-		seg, code, err := PollFeed(feed, func() uint64 { return uint64(s.backend.CurrentVN()) }, m)
+		seg, code, err := PollFeed(feed, func() uint64 { return uint64(s.backend.CurrentVN()) }, m, s.stop)
 		if err != nil {
 			return c.errResp(code, err)
 		}

@@ -325,10 +325,12 @@ func (l *Log) DurableLSN() int64 {
 }
 
 // WaitDurable blocks until the durable LSN exceeds from, the timeout
-// elapses, or the log hits a sticky error, and returns the durable LSN at
-// that point. The replication feed long-polls on it so an idle primary
-// costs followers no busy-spin.
-func (l *Log) WaitDurable(from int64, timeout time.Duration) int64 {
+// elapses, stop is closed, or the log hits a sticky error, and returns the
+// durable LSN at that point. The replication feed long-polls on it so an
+// idle primary costs followers no busy-spin; the serving side passes its
+// shutdown channel as stop so a held poll never outlives the server. A nil
+// stop never fires.
+func (l *Log) WaitDurable(from int64, timeout time.Duration, stop <-chan struct{}) int64 {
 	deadline := time.Now().Add(timeout)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -343,12 +345,18 @@ func (l *Log) WaitDurable(from int64, timeout time.Duration) int64 {
 		ch := l.durableCh
 		l.mu.Unlock()
 		t := time.NewTimer(remain)
+		stopped := false
 		select {
 		case <-ch:
 		case <-t.C:
+		case <-stop:
+			stopped = true
 		}
 		t.Stop()
 		l.mu.Lock()
+		if stopped {
+			break
+		}
 	}
 	return l.durableB
 }

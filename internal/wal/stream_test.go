@@ -251,8 +251,9 @@ func TestDurableLSN(t *testing.T) {
 }
 
 // TestWaitDurable covers the long-poll the replication feed rides on: an
-// already-satisfied wait returns immediately, an idle log times out, and a
-// commit from another goroutine wakes a blocked waiter.
+// already-satisfied wait returns immediately, an idle log times out, a
+// closed stop channel ends the hold at once, and a commit from another
+// goroutine wakes a blocked waiter.
 func TestWaitDurable(t *testing.T) {
 	store, log, _ := journaledStore(t, PolicyRedoOnly)
 	runBatch(t, store, func(m *core.Maintenance) {
@@ -265,20 +266,29 @@ func TestWaitDurable(t *testing.T) {
 		t.Fatal("synced commit left durable LSN at 0")
 	}
 
-	if got := log.WaitDurable(cur-1, time.Minute); got < cur {
+	if got := log.WaitDurable(cur-1, time.Minute, nil); got < cur {
 		t.Fatalf("satisfied wait returned %d < durable %d", got, cur)
 	}
 	start := time.Now()
-	if got := log.WaitDurable(cur, 20*time.Millisecond); got != cur {
+	if got := log.WaitDurable(cur, 20*time.Millisecond, nil); got != cur {
 		t.Fatalf("idle wait returned %d, want unchanged %d", got, cur)
 	}
 	if time.Since(start) < 20*time.Millisecond {
 		t.Fatal("idle wait returned before its timeout")
 	}
+	stop := make(chan struct{})
+	close(stop)
+	start = time.Now()
+	if got := log.WaitDurable(cur, time.Minute, stop); got != cur {
+		t.Fatalf("stopped wait returned %d, want unchanged %d", got, cur)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("stopped wait held for %v", d)
+	}
 
 	done := make(chan int64, 1)
 	go func() {
-		done <- log.WaitDurable(cur, 5*time.Second)
+		done <- log.WaitDurable(cur, 5*time.Second, nil)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	runBatch(t, store, func(m *core.Maintenance) {

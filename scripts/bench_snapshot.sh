@@ -6,7 +6,9 @@
 # Groups:
 #   reader_scaling  BenchmarkReaderScaling   (root package)
 #   maintain_batch  BenchmarkMaintainBatch   (root package)
-#   wire_latency    BenchmarkWirePing        (internal/server, single run)
+#   wire_latency    BenchmarkWire(Ping|Query) (internal/server; one framed
+#                                             round trip, and a small
+#                                             SELECT, over loopback TCP)
 #   query_latency   BenchmarkQueryLatency    (root package; plan-cache hit
 #                                             vs miss ad-hoc, prepared)
 #   replica_catchup BenchmarkReplicaCatchup  (internal/repl; cold-start
@@ -14,6 +16,10 @@
 #   shard_scaling   BenchmarkShardScaling    (internal/shard; two-phase
 #                                             publish and fan-out scan per
 #                                             shard width)
+#   gc_pass         BenchmarkGCPass          (internal/core; one GC pass
+#                                             over 4000 rows whose 25
+#                                             victims carry the oldest-slot
+#                                             watermark)
 #
 # Each JSON file carries the commit, timestamp, and platform alongside the
 # parsed ns/op, B/op, and allocs/op per benchmark, so CI artifacts are
@@ -100,7 +106,8 @@ run_group() {
 
 run_group reader_scaling 'BenchmarkReaderScaling' '.' "${READER_BENCHTIME:-1000x}"
 run_group maintain_batch 'BenchmarkMaintainBatch' '.' "${BATCH_BENCHTIME:-3x}"
-run_group wire_latency '^BenchmarkWirePing$' './internal/server/' "${WIRE_BENCHTIME:-1000x}"
+run_group wire_latency '^BenchmarkWire(Ping|Query)$' './internal/server/' "${WIRE_BENCHTIME:-1000x}"
 run_group query_latency '^BenchmarkQueryLatency$' '.' "${QUERY_BENCHTIME:-1000x}"
 run_group replica_catchup '^BenchmarkReplicaCatchup$' './internal/repl/' "${REPLICA_BENCHTIME:-20x}"
 run_group shard_scaling '^BenchmarkShardScaling$' './internal/shard/' "${SHARD_BENCHTIME:-20x}"
+run_group gc_pass '^BenchmarkGCPass$' './internal/core/' '100x'
